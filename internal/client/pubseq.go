@@ -1,9 +1,9 @@
 package client
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 
+	"rebeca/internal/codec"
 	"rebeca/internal/message"
 	"rebeca/internal/store"
 )
@@ -21,6 +21,23 @@ type pubIdentity struct {
 	// Reserved is the highest sequence number this incarnation may have
 	// assigned; the next incarnation resumes strictly above it.
 	Reserved uint64
+}
+
+// marshal encodes the identity as two uvarints: Epoch, then Reserved.
+func (id pubIdentity) marshal() []byte {
+	b := binary.AppendUvarint(nil, id.Epoch)
+	return binary.AppendUvarint(b, id.Reserved)
+}
+
+// unmarshalPubIdentity decodes a marshal'd identity; malformed input is
+// an error, never a panic.
+func unmarshalPubIdentity(blob []byte) (pubIdentity, error) {
+	r := codec.NewReader(blob)
+	id := pubIdentity{Epoch: r.Uvarint(), Reserved: r.Uvarint()}
+	if err := r.Done(); err != nil {
+		return pubIdentity{}, err
+	}
+	return id, nil
 }
 
 // PubSequencer allocates a publisher's notification sequence numbers
@@ -50,8 +67,7 @@ type PubSequencer struct {
 func NewPubSequencer(st store.Store, client message.NodeID) *PubSequencer {
 	s := &PubSequencer{st: st, key: "pub/" + string(client)}
 	if blob, ok := st.LoadSnapshot(s.key); ok {
-		var id pubIdentity
-		if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&id); err == nil {
+		if id, err := unmarshalPubIdentity(blob); err == nil {
 			s.epoch = id.Epoch
 			s.seq = id.Reserved
 			s.reserved = id.Reserved
@@ -80,9 +96,5 @@ func (s *PubSequencer) Next() uint64 {
 }
 
 func (s *PubSequencer) persist() {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(pubIdentity{Epoch: s.epoch, Reserved: s.reserved}); err != nil {
-		return
-	}
-	_ = s.st.Snapshot(s.key, buf.Bytes())
+	_ = s.st.Snapshot(s.key, pubIdentity{Epoch: s.epoch, Reserved: s.reserved}.marshal())
 }

@@ -38,6 +38,11 @@
 // allocation, and a torn or truncated frame yields an error — never a
 // panic — so a malformed peer cannot take a broker down.
 //
+// The same notification, subscription and primitive encodings back the
+// store's records (WAL frames, session snapshots): AppendNotification,
+// AppendSubscription and friends write them, and Reader reads them back
+// with the same bounds checks.
+//
 // The codec is versioned by the link handshake (see internal/wire): the
 // hello frame carries Magic and Version, and peers agree on the minimum.
 // This codec is the only wire encoding — the gob fallback of early
@@ -300,11 +305,16 @@ func AppendMessage(b []byte, m *proto.Message) []byte {
 	b = binary.AppendUvarint(b, m.Epoch)
 	b = binary.AppendVarint(b, int64(m.Hops))
 	if flags&flagTraced != 0 {
-		b = binary.AppendUvarint(b, uint64(len(m.Note.Path)))
-		for _, h := range m.Note.Path {
-			b = appendString(b, string(h.Broker))
-			b = binary.LittleEndian.AppendUint64(b, uint64(h.At.UnixNano()))
-		}
+		b = appendPath(b, m.Note.Path)
+	}
+	return b
+}
+
+func appendPath(b []byte, path []message.HopStamp) []byte {
+	b = binary.AppendUvarint(b, uint64(len(path)))
+	for _, h := range path {
+		b = appendString(b, string(h.Broker))
+		b = binary.LittleEndian.AppendUint64(b, uint64(h.At.UnixNano()))
 	}
 	return b
 }
@@ -312,6 +322,28 @@ func AppendMessage(b []byte, m *proto.Message) []byte {
 func appendString(b []byte, s string) []byte {
 	b = binary.AppendUvarint(b, uint64(len(s)))
 	return append(b, s...)
+}
+
+// AppendString appends s length-prefixed; Reader.Str and Reader.Bytes
+// read it back.
+func AppendString(b []byte, s string) []byte { return appendString(b, s) }
+
+// AppendBytes appends p length-prefixed, the same encoding as
+// AppendString.
+func AppendBytes(b, p []byte) []byte {
+	b = binary.AppendUvarint(b, uint64(len(p)))
+	return append(b, p...)
+}
+
+// AppendTime appends t as a presence byte plus, for a non-zero t, its
+// Unix nanoseconds; Reader.Time reads it back (Equal to t, in the local
+// zone).
+func AppendTime(b []byte, t time.Time) []byte {
+	if t.IsZero() {
+		return append(b, 0)
+	}
+	b = append(b, 1)
+	return binary.LittleEndian.AppendUint64(b, uint64(t.UnixNano()))
 }
 
 func appendValue(b []byte, v message.Value) []byte {
@@ -340,18 +372,31 @@ func appendValue(b []byte, v message.Value) []byte {
 func appendNotification(b []byte, n *message.Notification) []byte {
 	b = appendString(b, string(n.ID.Publisher))
 	b = binary.AppendUvarint(b, n.ID.Seq)
-	if n.Published.IsZero() {
-		b = append(b, 0)
-	} else {
-		b = append(b, 1)
-		b = binary.LittleEndian.AppendUint64(b, uint64(n.Published.UnixNano()))
-	}
+	b = AppendTime(b, n.Published)
 	b = binary.AppendUvarint(b, uint64(len(n.Attrs)))
 	for name, v := range n.Attrs {
 		b = appendString(b, name)
 		b = appendValue(b, v)
 	}
 	return b
+}
+
+// AppendNotification appends a self-contained encoding of n for records
+// outside a message frame: a flags byte (the message flags' traced bit
+// when n carries a hop trail), the notification as it travels inside a
+// message, then the trail if traced. Reader.Notification reads it back.
+func AppendNotification(b []byte, n *message.Notification) []byte {
+	if len(n.Path) == 0 {
+		return appendNotification(append(b, 0), n)
+	}
+	b = appendNotification(append(b, flagTraced), n)
+	return appendPath(b, n.Path)
+}
+
+// AppendSubscription appends s as it travels inside a message;
+// Reader.Subscription reads it back.
+func AppendSubscription(b []byte, s proto.Subscription) []byte {
+	return appendSubscription(b, s)
 }
 
 func appendConstraint(b []byte, c filter.Constraint) []byte {
@@ -383,24 +428,47 @@ func appendSubscription(b []byte, s proto.Subscription) []byte {
 
 var errTruncated = errors.New("codec: truncated frame")
 
-// reader tracks a decode position with sticky error state so every field
-// accessor stays a one-liner at the call site and no read can run past
-// the payload.
-type reader struct {
+// Reader is the codec's defensive decoder: it tracks a decode position
+// with sticky error state so every field accessor stays a one-liner at the
+// call site and no read can run past the payload. After the first failure
+// every accessor returns a zero value; check Err (or Done) once at the
+// end. Decoded strings, byte slices and notifications never alias the
+// input, so the caller may reuse it.
+//
+// Besides message frames, Reader decodes the other binary records built
+// from the codec's encodings (the store's WAL records and session
+// snapshots).
+type Reader struct {
 	data []byte
 	off  int
 	err  error
 }
 
-func (r *reader) fail(err error) {
+// NewReader returns a Reader over data.
+func NewReader(data []byte) *Reader { return &Reader{data: data} }
+
+// Err returns the first decode failure, or nil.
+func (r *Reader) Err() error { return r.err }
+
+// Done returns the first decode failure, or an error if input remains
+// unread: a record decoder calls it last so trailing garbage is rejected.
+func (r *Reader) Done() error {
+	if r.err == nil && r.off != len(r.data) {
+		return fmt.Errorf("codec: %d trailing bytes", len(r.data)-r.off)
+	}
+	return r.err
+}
+
+func (r *Reader) fail(err error) {
 	if r.err == nil {
 		r.err = err
 	}
 }
 
-func (r *reader) remaining() int { return len(r.data) - r.off }
+func (r *Reader) remaining() int { return len(r.data) - r.off }
 
-func (r *reader) byte() byte {
+// Byte reads one byte.
+func (r *Reader) Byte() byte {
 	if r.err != nil {
 		return 0
 	}
@@ -413,7 +481,8 @@ func (r *reader) byte() byte {
 	return b
 }
 
-func (r *reader) uvarint() uint64 {
+// Uvarint reads an unsigned varint.
+func (r *Reader) Uvarint() uint64 {
 	if r.err != nil {
 		return 0
 	}
@@ -426,7 +495,7 @@ func (r *reader) uvarint() uint64 {
 	return v
 }
 
-func (r *reader) varint() int64 {
+func (r *Reader) varint() int64 {
 	if r.err != nil {
 		return 0
 	}
@@ -439,7 +508,7 @@ func (r *reader) varint() int64 {
 	return v
 }
 
-func (r *reader) uint64() uint64 {
+func (r *Reader) uint64() uint64 {
 	if r.err != nil {
 		return 0
 	}
@@ -452,25 +521,54 @@ func (r *reader) uint64() uint64 {
 	return v
 }
 
-func (r *reader) str() string {
-	n := r.uvarint()
+// Str reads a length-prefixed string.
+func (r *Reader) Str() string {
+	return string(r.raw())
+}
+
+// Bytes reads a length-prefixed byte string into a fresh slice. An empty
+// byte string decodes as an empty, non-nil slice.
+func (r *Reader) Bytes() []byte {
+	b := r.raw()
 	if r.err != nil {
-		return ""
+		return nil
+	}
+	return append(make([]byte, 0, len(b)), b...)
+}
+
+// raw reads a length-prefixed byte string, aliasing the input.
+func (r *Reader) raw() []byte {
+	n := r.Uvarint()
+	if r.err != nil {
+		return nil
 	}
 	if n > uint64(r.remaining()) {
 		r.fail(errTruncated)
-		return ""
+		return nil
 	}
-	s := string(r.data[r.off : r.off+int(n)])
+	b := r.data[r.off : r.off+int(n)]
 	r.off += int(n)
-	return s
+	return b
 }
 
-// count reads a list length and validates it against the remaining bytes
+// Time reads a timestamp written by AppendTime.
+func (r *Reader) Time() time.Time {
+	switch r.Byte() {
+	case 0:
+		return time.Time{}
+	case 1:
+		return time.Unix(0, int64(r.uint64()))
+	default:
+		r.fail(errors.New("codec: bad time tag"))
+		return time.Time{}
+	}
+}
+
+// Count reads a list length and validates it against the remaining bytes
 // (each element needs at least minBytes), so a corrupt count cannot drive
 // a huge allocation.
-func (r *reader) count(minBytes int) int {
-	n := r.uvarint()
+func (r *Reader) Count(minBytes int) int {
+	n := r.Uvarint()
 	if r.err != nil {
 		return 0
 	}
@@ -481,10 +579,10 @@ func (r *reader) count(minBytes int) int {
 	return int(n)
 }
 
-func (r *reader) value() message.Value {
-	switch tag := r.byte(); tag {
+func (r *Reader) value() message.Value {
+	switch tag := r.Byte(); tag {
 	case tagString:
-		return message.String(r.str())
+		return message.String(r.Str())
 	case tagInt:
 		return message.Int(r.varint())
 	case tagFloat:
@@ -501,30 +599,59 @@ func (r *reader) value() message.Value {
 	}
 }
 
-func (r *reader) notification() message.Notification {
+func (r *Reader) notification() message.Notification {
 	var n message.Notification
-	n.ID.Publisher = message.NodeID(r.str())
-	n.ID.Seq = r.uvarint()
-	if r.byte() == 1 {
-		n.Published = time.Unix(0, int64(r.uint64()))
-	}
-	cnt := r.count(2)
+	n.ID.Publisher = message.NodeID(r.Str())
+	n.ID.Seq = r.Uvarint()
+	n.Published = r.Time()
+	cnt := r.Count(2)
 	if cnt > 0 {
 		n.Attrs = make(map[string]message.Value, cnt)
 		for i := 0; i < cnt && r.err == nil; i++ {
-			name := r.str()
+			name := r.Str()
 			n.Attrs[name] = r.value()
 		}
 	}
 	return n
 }
 
-func (r *reader) constraint() filter.Constraint {
+// path reads a hop trail; nil on failure or for an empty trail.
+func (r *Reader) path() []message.HopStamp {
+	// Each hop is at least a length byte plus its 8-byte timestamp.
+	cnt := r.Count(9)
+	if cnt == 0 {
+		return nil
+	}
+	path := make([]message.HopStamp, 0, cnt)
+	for i := 0; i < cnt && r.err == nil; i++ {
+		broker := message.NodeID(r.Str())
+		path = append(path, message.HopStamp{Broker: broker, At: time.Unix(0, int64(r.uint64()))})
+	}
+	if r.err != nil {
+		return nil
+	}
+	return path
+}
+
+// Notification reads a notification written by AppendNotification.
+func (r *Reader) Notification() message.Notification {
+	flags := r.Byte()
+	if flags&^flagTraced != 0 {
+		r.fail(fmt.Errorf("codec: unknown notification flag bits %#x", flags))
+	}
+	n := r.notification()
+	if flags&flagTraced != 0 {
+		n.Path = r.path()
+	}
+	return n
+}
+
+func (r *Reader) constraint() filter.Constraint {
 	var c filter.Constraint
-	c.Attr = r.str()
-	c.Op = filter.Op(r.uvarint())
+	c.Attr = r.Str()
+	c.Op = filter.Op(r.Uvarint())
 	c.Val = r.value()
-	cnt := r.count(1)
+	cnt := r.Count(1)
 	if cnt > 0 {
 		c.Set = make([]message.Value, 0, cnt)
 		for i := 0; i < cnt && r.err == nil; i++ {
@@ -534,8 +661,8 @@ func (r *reader) constraint() filter.Constraint {
 	return c
 }
 
-func (r *reader) filter() filter.Filter {
-	cnt := r.count(2)
+func (r *Reader) filter() filter.Filter {
+	cnt := r.Count(2)
 	if cnt == 0 {
 		return filter.All()
 	}
@@ -549,9 +676,10 @@ func (r *reader) filter() filter.Filter {
 	return filter.New(cs...)
 }
 
-func (r *reader) subscription() proto.Subscription {
+// Subscription reads a subscription written by AppendSubscription.
+func (r *Reader) Subscription() proto.Subscription {
 	var s proto.Subscription
-	s.ID = message.SubID(r.str())
+	s.ID = message.SubID(r.Str())
 	s.Filter = r.filter()
 	return s
 }
@@ -560,88 +688,74 @@ func (r *reader) subscription() proto.Subscription {
 // input — truncated fields, inflated list counts, unknown tags, trailing
 // garbage — returns an error; DecodeMessage never panics.
 func DecodeMessage(data []byte) (proto.Message, error) {
-	r := reader{data: data}
+	r := Reader{data: data}
 	var m proto.Message
-	kind := r.uvarint()
+	kind := r.Uvarint()
 	if r.err == nil && (kind == uint64(proto.KInvalid) || kind >= uint64(proto.NumKinds)) {
 		return proto.Message{}, fmt.Errorf("codec: unknown message kind %d", kind)
 	}
 	m.Kind = proto.Kind(kind)
-	flags := r.byte()
+	flags := r.Byte()
 	if r.err == nil && flags&^(flagNote|flagSub|flagStale|flagFresh|flagTraced) != 0 {
 		return proto.Message{}, fmt.Errorf("codec: unknown flag bits %#x", flags)
 	}
 	if r.err == nil && flags&flagTraced != 0 && flags&flagNote == 0 {
 		return proto.Message{}, errors.New("codec: traced flag without a note")
 	}
-	m.From = message.NodeID(r.str())
-	m.Origin = message.NodeID(r.str())
-	m.Dest = message.NodeID(r.str())
-	m.Client = message.NodeID(r.str())
+	m.From = message.NodeID(r.Str())
+	m.Origin = message.NodeID(r.Str())
+	m.Dest = message.NodeID(r.Str())
+	m.Client = message.NodeID(r.Str())
 	if flags&flagNote != 0 {
 		n := r.notification()
 		m.Note = &n
 	}
-	if cnt := r.count(3); cnt > 0 {
+	if cnt := r.Count(3); cnt > 0 {
 		m.Notes = make([]message.Notification, 0, cnt)
 		for i := 0; i < cnt && r.err == nil; i++ {
 			m.Notes = append(m.Notes, r.notification())
 		}
 	}
-	if cnt := r.count(1); cnt > 0 {
+	if cnt := r.Count(1); cnt > 0 {
 		m.SubIDs = make([]message.SubID, 0, cnt)
 		for i := 0; i < cnt && r.err == nil; i++ {
-			m.SubIDs = append(m.SubIDs, message.SubID(r.str()))
+			m.SubIDs = append(m.SubIDs, message.SubID(r.Str()))
 		}
 	}
 	m.Credits = int(r.varint())
 	if flags&flagSub != 0 {
-		s := r.subscription()
+		s := r.Subscription()
 		m.Sub = &s
 	}
-	if cnt := r.count(2); cnt > 0 {
+	if cnt := r.Count(2); cnt > 0 {
 		m.Subs = make([]proto.Subscription, 0, cnt)
 		for i := 0; i < cnt && r.err == nil; i++ {
-			m.Subs = append(m.Subs, r.subscription())
+			m.Subs = append(m.Subs, r.Subscription())
 		}
 	}
-	if cnt := r.count(2); cnt > 0 {
+	if cnt := r.Count(2); cnt > 0 {
 		m.Advs = make([]proto.Subscription, 0, cnt)
 		for i := 0; i < cnt && r.err == nil; i++ {
-			m.Advs = append(m.Advs, r.subscription())
+			m.Advs = append(m.Advs, r.Subscription())
 		}
 	}
-	if cnt := r.count(2); cnt > 0 {
+	if cnt := r.Count(2); cnt > 0 {
 		m.Watermarks = make(map[message.NodeID]uint64, cnt)
 		for i := 0; i < cnt && r.err == nil; i++ {
-			node := message.NodeID(r.str())
-			m.Watermarks[node] = r.uvarint()
+			node := message.NodeID(r.Str())
+			m.Watermarks[node] = r.Uvarint()
 		}
 	}
-	m.FlushID = r.uvarint()
-	m.Epoch = r.uvarint()
+	m.FlushID = r.Uvarint()
+	m.Epoch = r.Uvarint()
 	m.Hops = int(r.varint())
 	if flags&flagTraced != 0 {
-		// Each hop is at least a length byte plus its 8-byte timestamp.
-		cnt := r.count(9)
-		if cnt > 0 {
-			path := make([]message.HopStamp, 0, cnt)
-			for i := 0; i < cnt && r.err == nil; i++ {
-				broker := message.NodeID(r.str())
-				path = append(path, message.HopStamp{Broker: broker, At: time.Unix(0, int64(r.uint64()))})
-			}
-			if r.err == nil {
-				m.Note.Path = path
-			}
-		}
+		m.Note.Path = r.path()
 	}
 	m.Stale = flags&flagStale != 0
 	m.Fresh = flags&flagFresh != 0
-	if r.err != nil {
-		return proto.Message{}, r.err
-	}
-	if r.off != len(r.data) {
-		return proto.Message{}, fmt.Errorf("codec: %d trailing bytes after message", len(r.data)-r.off)
+	if err := r.Done(); err != nil {
+		return proto.Message{}, err
 	}
 	return m, nil
 }

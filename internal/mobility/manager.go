@@ -71,12 +71,12 @@
 package mobility
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"fmt"
 
 	"rebeca/internal/broker"
 	"rebeca/internal/buffer"
+	"rebeca/internal/codec"
 	"rebeca/internal/message"
 	"rebeca/internal/proto"
 	"rebeca/internal/store"
@@ -297,6 +297,32 @@ type sessionSnap struct {
 	Subs []proto.Subscription
 }
 
+// marshal encodes the snapshot as a subscription count followed by each
+// subscription in the codec's encoding.
+func (s sessionSnap) marshal() []byte {
+	b := binary.AppendUvarint(nil, uint64(len(s.Subs)))
+	for _, sub := range s.Subs {
+		b = codec.AppendSubscription(b, sub)
+	}
+	return b
+}
+
+// unmarshalSessionSnap decodes a marshal'd snapshot; malformed input is
+// an error, never a panic.
+func unmarshalSessionSnap(blob []byte) (sessionSnap, error) {
+	r := codec.NewReader(blob)
+	var s sessionSnap
+	// A subscription is at least an ID length and a constraint count.
+	n := r.Count(2)
+	for i := 0; i < n && r.Err() == nil; i++ {
+		s.Subs = append(s.Subs, r.Subscription())
+	}
+	if err := r.Done(); err != nil {
+		return sessionSnap{}, err
+	}
+	return s, nil
+}
+
 // sessionKey names a session's snapshot and buffer queue in the store.
 // The broker ID is part of the key: in-process deployments share one
 // store across all brokers.
@@ -318,11 +344,7 @@ func (m *Manager) persist(s *session) {
 	if m.store == nil {
 		return
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(sessionSnap{Subs: s.profile()}); err != nil {
-		return
-	}
-	_ = m.store.Snapshot(m.sessionKey(s.client), buf.Bytes())
+	_ = m.store.Snapshot(m.sessionKey(s.client), sessionSnap{Subs: s.profile()}.marshal())
 }
 
 // forget deletes a session's snapshot (no-op without a store). The
@@ -366,8 +388,8 @@ func (m *Manager) Recover() int {
 		if _, ok := m.sessions[c]; ok || c == "" {
 			continue
 		}
-		var snap sessionSnap
-		if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&snap); err != nil {
+		snap, err := unmarshalSessionSnap(blob)
+		if err != nil {
 			m.stats.RecoveryErrors++
 			continue
 		}

@@ -31,8 +31,9 @@ import (
 const DefaultSpillBudget = 256 << 20 // 256 MiB
 
 // spillAttr carries one encoded proto.Message frame inside the
-// store-facing Notification wrapper. Value's gob round-trip is
-// binary-safe, so the frame survives WAL persistence byte-exact.
+// store-facing Notification wrapper. The WAL's binary records store a
+// string value length-prefixed and uninterpreted, so the frame survives
+// persistence byte-exact.
 const spillAttr = "ovl-frame"
 
 // spillDrainBatch bounds how many drained records are acked at once: a

@@ -1,58 +1,27 @@
 package store
 
 import (
+	"bytes"
 	"sync"
 	"time"
 
 	"rebeca/internal/message"
 )
 
-// opKind discriminates logged mutations.
-type opKind int
-
-const (
-	opAppend opKind = iota + 1
-	opAck
-	opSnapshot
-	// opQueueMeta re-establishes a queue's sequence floor and ack
-	// watermark in a compacted log.
-	opQueueMeta
-)
-
-// op is one logged mutation. The Memory store models durability the way a
-// WAL does: mutations are staged in an ordered log and become durable when
-// a Sync succeeds; Crash discards everything staged after the last
-// successful Sync.
-type op struct {
-	kind  opKind
-	queue string
-	seq   uint64
-	at    time.Time
-	note  message.Notification
-	upTo  uint64
-	next  uint64
-	key   string
-	data  []byte
-}
-
-// memQueue is the live (replayed) state of one queue.
-type memQueue struct {
-	next    uint64 // next sequence to assign
-	acked   uint64
-	records []Record // pending records, sequence order
-}
-
 // Memory is the in-process Store: the zero-cost default, and — through its
 // fault hook and Crash — the harness for recovery tests on the virtual
 // clock. Safe for concurrent use.
+//
+// Memory models durability the way a WAL does: mutations are staged in an
+// ordered log and become durable when a Sync succeeds; Crash discards
+// everything staged after the last successful Sync.
 type Memory struct {
 	mu     sync.Mutex
 	ops    []op
 	synced int // ops[:synced] are durable
 	faults func() error
 
-	queues map[string]*memQueue
-	snaps  map[string][]byte
+	state
 	closed bool
 }
 
@@ -63,11 +32,6 @@ func NewMemory() *Memory {
 	m := &Memory{}
 	m.reset()
 	return m
-}
-
-func (m *Memory) reset() {
-	m.queues = make(map[string]*memQueue)
-	m.snaps = make(map[string][]byte)
 }
 
 // SetSyncFault installs a hook consulted on every Sync; a non-nil return
@@ -100,63 +64,15 @@ func (m *Memory) Crash() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.ops = m.ops[:m.synced]
+	m.rebuild()
+}
+
+// rebuild replays the op log into a fresh live state. Callers hold m.mu.
+func (m *Memory) rebuild() {
 	m.reset()
 	for _, o := range m.ops {
 		m.apply(o)
 	}
-}
-
-// apply folds one op into the live state. Callers hold m.mu.
-func (m *Memory) apply(o op) {
-	switch o.kind {
-	case opAppend:
-		q := m.queue(o.queue)
-		if o.seq+1 > q.next {
-			q.next = o.seq + 1
-		}
-		if o.seq > q.acked {
-			q.records = append(q.records, Record{Queue: o.queue, Seq: o.seq, At: o.at, Note: o.note})
-		}
-	case opAck:
-		q := m.queue(o.queue)
-		upTo := o.upTo
-		if upTo >= q.next {
-			upTo = q.next - 1
-		}
-		if upTo > q.acked {
-			q.acked = upTo
-		}
-		i := 0
-		for i < len(q.records) && q.records[i].Seq <= q.acked {
-			i++
-		}
-		if i > 0 {
-			q.records = append(q.records[:0], q.records[i:]...)
-		}
-	case opSnapshot:
-		if o.data == nil {
-			delete(m.snaps, o.key)
-		} else {
-			m.snaps[o.key] = append([]byte(nil), o.data...)
-		}
-	case opQueueMeta:
-		q := m.queue(o.queue)
-		if o.next > q.next {
-			q.next = o.next
-		}
-		if o.upTo > q.acked {
-			q.acked = o.upTo
-		}
-	}
-}
-
-func (m *Memory) queue(name string) *memQueue {
-	q, ok := m.queues[name]
-	if !ok {
-		q = &memQueue{next: 1}
-		m.queues[name] = q
-	}
-	return q
 }
 
 // stage logs a mutation, applies it to the live state, and attempts to
@@ -195,17 +111,7 @@ func (m *Memory) Append(queue string, n message.Notification, at time.Time) (uin
 func (m *Memory) ReplayFrom(queue string, after uint64) ([]Record, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	q, ok := m.queues[queue]
-	if !ok {
-		return nil, nil
-	}
-	var out []Record
-	for _, r := range q.records {
-		if r.Seq > after {
-			out = append(out, r)
-		}
-	}
-	return out, nil
+	return m.replayFrom(queue, after), nil
 }
 
 // Ack implements Store.
@@ -223,11 +129,7 @@ func (m *Memory) Ack(queue string, upTo uint64) error {
 func (m *Memory) Snapshot(key string, data []byte) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	var cp []byte
-	if data != nil {
-		cp = append([]byte(nil), data...)
-	}
-	_ = m.stage(op{kind: opSnapshot, key: key, data: cp})
+	_ = m.stage(op{kind: opSnapshot, key: key, data: bytes.Clone(data)})
 	return nil
 }
 
@@ -235,24 +137,14 @@ func (m *Memory) Snapshot(key string, data []byte) error {
 func (m *Memory) LoadSnapshot(key string) ([]byte, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	b, ok := m.snaps[key]
-	if !ok {
-		return nil, false
-	}
-	return append([]byte(nil), b...), true
+	return m.loadSnapshot(key)
 }
 
 // Snapshots implements Store.
 func (m *Memory) Snapshots(prefix string) map[string][]byte {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make(map[string][]byte)
-	for k, v := range m.snaps {
-		if len(k) >= len(prefix) && k[:len(prefix)] == prefix {
-			out[k] = append([]byte(nil), v...)
-		}
-	}
-	return out
+	return m.snapshots(prefix)
 }
 
 // Compact implements Store: the op log is rewritten to the minimal set
@@ -262,25 +154,15 @@ func (m *Memory) Compact() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	var ops []op
-	for name, q := range m.queues {
-		if q.next > 1 {
-			ops = append(ops, op{kind: opQueueMeta, queue: name, next: q.next, upTo: q.acked})
-		}
-		for _, r := range q.records {
-			ops = append(ops, op{kind: opAppend, queue: name, seq: r.Seq, at: r.At, note: r.Note})
-		}
-	}
-	for k, v := range m.snaps {
-		ops = append(ops, op{kind: opSnapshot, key: k, data: v})
-	}
+	_ = m.eachLive(func(o *op) error {
+		ops = append(ops, *o)
+		return nil
+	})
 	// The compacted log is self-contained: rebuild the live state from it
 	// so compaction bugs surface immediately, not at the next Crash.
 	m.ops = ops
 	m.synced = len(ops)
-	m.reset()
-	for _, o := range m.ops {
-		m.apply(o)
-	}
+	m.rebuild()
 	return nil
 }
 
@@ -303,9 +185,5 @@ func (m *Memory) Close() error {
 func (m *Memory) State(queue string) QueueState {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	q, ok := m.queues[queue]
-	if !ok {
-		return QueueState{Next: 1}
-	}
-	return QueueState{Next: q.next, Acked: q.acked, Pending: len(q.records)}
+	return m.queueState(queue)
 }

@@ -1,9 +1,9 @@
 package store
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -15,44 +15,59 @@ import (
 	"sync"
 	"time"
 
+	"rebeca/internal/codec"
 	"rebeca/internal/message"
 )
 
 // DefaultSegmentSize is the rotation threshold for WAL segment files.
 const DefaultSegmentSize = 4 << 20 // 4 MiB
 
-// walRecord is the gob-encoded payload of one framed WAL entry. Kind reuses
-// the Memory store's op vocabulary: append, ack, snapshot, queue-meta.
-type walRecord struct {
-	Kind  int
-	Queue string
-	Seq   uint64
-	At    time.Time
-	Note  message.Notification
-	UpTo  uint64
-	Next  uint64
-	Key   string
-	Data  []byte
-}
+// Segment header: every segment file opens with walMagic and a format
+// version byte, written and fsynced when the segment is created, so a
+// segment in any other format is refused instead of misread.
+var walMagic = [4]byte{'R', 'B', 'W', 'L'}
 
-// WAL is the file-backed Store: an append-only log of CRC-framed,
-// gob-encoded records split into rotating segment files
-// (wal-<n>.seg). Every record is fsynced before Append returns (unless
-// WALNoSync), so a killed process loses nothing it acknowledged. Compact
-// rewrites the live state (pending records, watermarks, snapshots) into a
-// fresh segment and deletes the older ones — the ack-driven garbage
-// collection that keeps cancelled durable subscriptions from pinning
-// segments forever.
+// walVersion is the record format version: 1 is the binary record
+// encoding of record.go. Segments of the earlier gob encoding have no
+// header at all.
+const walVersion byte = 1
+
+const (
+	segHeaderLen   = len(walMagic) + 1
+	frameHeaderLen = 8
+	// maxRecord bounds one record payload: room for a spilled link frame
+	// (at most codec.MaxFrame) plus its record fields. Recovery checks a
+	// frame's declared length against it before allocating.
+	maxRecord = codec.MaxFrame + 64<<10
+	// keepFrameBuf bounds the frame scratch a WAL keeps between writes, so
+	// one oversized record does not pin its buffer for the WAL's lifetime.
+	keepFrameBuf = 64 << 10
+)
+
+// ErrWALFormat reports a segment this build cannot read: a pre-binary
+// (gob-era) segment without a header, or an unknown format version.
+var ErrWALFormat = errors.New("store: unreadable WAL segment format")
+
+// WAL is the file-backed Store: an append-only log of CRC-framed binary
+// records split into rotating segment files (wal-<n>.seg). Every record
+// is fsynced before Append returns (unless WALNoSync), so a killed
+// process loses nothing it acknowledged. Compact rewrites the live state
+// (pending records, watermarks, snapshots) into a fresh segment and
+// deletes the older ones — the ack-driven garbage collection that keeps
+// cancelled durable subscriptions from pinning segments forever.
 //
-// Frame format, little-endian:
+// Segment format, little-endian:
 //
-//	[4B payload length][4B IEEE CRC-32 of payload][payload]
+//	segment := magic:"RBWL" version:byte frame*
+//	frame   := [4B payload length][4B IEEE CRC-32 of payload][payload]
 //
-// Recovery reads segments in order, verifying each frame's CRC. A short or
-// corrupt frame in the newest segment marks the torn tail of an interrupted
-// write: recovery stops there and the file is truncated to the last good
-// frame. Corruption in an older segment is reported as an error — that is
-// data loss, not a torn tail.
+// The payload is one binary record (see record.go). Recovery reads
+// segments in order, verifying each frame's CRC. A short or corrupt frame
+// in the newest segment marks the torn tail of an interrupted write:
+// recovery stops there and the file is truncated to the last good frame.
+// Corruption in an older segment is reported as an error — that is data
+// loss, not a torn tail. A segment without a valid header is never
+// truncated: OpenWAL fails with ErrWALFormat and leaves it untouched.
 type WAL struct {
 	mu     sync.Mutex
 	dir    string
@@ -62,9 +77,9 @@ type WAL struct {
 	seg     *os.File // active segment, opened for append
 	segID   int
 	segSize int64
+	buf     []byte // frame scratch: header and payload, written at once
 
-	queues map[string]*memQueue
-	snaps  map[string][]byte
+	state
 	closed bool
 
 	// log receives structured segment lifecycle events (rotation,
@@ -101,7 +116,8 @@ func WALNoSync() WALOption {
 }
 
 // OpenWAL opens (creating if needed) a write-ahead log in dir and recovers
-// its state from the existing segments.
+// its state from the existing segments. A directory holding a segment in
+// another format (a pre-binary WAL) is refused with ErrWALFormat.
 func OpenWAL(dir string, opts ...WALOption) (*WAL, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: open wal: %w", err)
@@ -110,9 +126,8 @@ func OpenWAL(dir string, opts ...WALOption) (*WAL, error) {
 		dir:    dir,
 		maxSeg: DefaultSegmentSize,
 		sync:   true,
-		queues: make(map[string]*memQueue),
-		snaps:  make(map[string][]byte),
 	}
+	w.reset()
 	for _, o := range opts {
 		o(w)
 	}
@@ -155,164 +170,172 @@ func (w *WAL) recover() error {
 		return w.openSegment(1)
 	}
 	for i, id := range ids {
-		last := i == len(ids)-1
-		if err := w.replaySegment(id, last); err != nil {
+		if err := w.replaySegment(id, i == len(ids)-1); err != nil {
 			return err
 		}
 	}
-	w.segID = ids[len(ids)-1]
-	f, err := os.OpenFile(filepath.Join(w.dir, segName(w.segID)), os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: reopen segment: %w", err)
+	return w.openSegment(ids[len(ids)-1])
+}
+
+// segmentHeader is the header every segment opens with.
+func segmentHeader() []byte { return append(walMagic[:len(walMagic):len(walMagic)], walVersion) }
+
+// checkSegmentHeader validates the first bytes of the segment file at
+// path; its errors name the file.
+func checkSegmentHeader(path string, h []byte) error {
+	if len(h) < len(walMagic) || !bytes.Equal(h[:len(walMagic)], walMagic[:]) {
+		return fmt.Errorf("%w: %s has no binary segment header: it is a pre-binary (gob-era) WAL segment; "+
+			"drain the WAL with the release that wrote it, or delete the directory, before upgrading", ErrWALFormat, path)
 	}
-	st, err := f.Stat()
-	if err != nil {
-		_ = f.Close()
-		return err
+	if len(h) < segHeaderLen {
+		return fmt.Errorf("%w: %s: torn segment header", ErrWALFormat, path)
 	}
-	w.seg = f
-	w.segSize = st.Size()
+	if h[len(walMagic)] != walVersion {
+		return fmt.Errorf("%w: %s: unknown WAL format version %d (this build reads version %d)",
+			ErrWALFormat, path, h[len(walMagic)], walVersion)
+	}
 	return nil
 }
 
 // replaySegment folds one segment into the index. In the last segment a
-// torn tail (short frame or CRC mismatch) truncates the file; anywhere
-// else it is corruption.
+// torn tail (short frame, oversized length, CRC mismatch or undecodable
+// record) truncates the file; anywhere else it is corruption. A segment
+// whose header is missing or unknown is refused untouched — except the
+// newest one holding a strict prefix of the header, which a crash while
+// creating it left behind before any record was written: it is emptied,
+// and openSegment writes the header anew.
 func (w *WAL) replaySegment(id int, last bool) error {
-	path := filepath.Join(w.dir, segName(id))
+	name := segName(id)
+	path := filepath.Join(w.dir, name)
 	f, err := os.Open(path)
 	if err != nil {
-		return err
+		return fmt.Errorf("store: %w", err)
 	}
 	defer f.Close()
-	var offset int64
-	var hdr [8]byte
+	st, err := f.Stat()
+	if err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	size := st.Size()
+	r := bufio.NewReaderSize(f, 64<<10)
+
+	var hdr [frameHeaderLen]byte
+	n, err := io.ReadFull(r, hdr[:segHeaderLen])
+	if err != nil && !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
+		return fmt.Errorf("store: %s: read header: %w", name, err)
+	}
+	if last && n < segHeaderLen && bytes.HasPrefix(segmentHeader(), hdr[:n]) {
+		if err := os.Truncate(path, 0); err != nil {
+			return fmt.Errorf("store: %s: reset torn header: %w", name, err)
+		}
+		return nil
+	}
+	if err := checkSegmentHeader(path, hdr[:n]); err != nil {
+		return err
+	}
+
+	offset := int64(segHeaderLen)
+	torn := func(what string) error {
+		if !last {
+			return fmt.Errorf("store: %s: %s at %d", name, what, offset)
+		}
+		if err := os.Truncate(path, offset); err != nil {
+			return fmt.Errorf("store: %s: truncate torn tail: %w", name, err)
+		}
+		return nil
+	}
+	var buf []byte
 	for {
-		if _, err := io.ReadFull(f, hdr[:]); err != nil {
+		if _, err := io.ReadFull(r, hdr[:]); err != nil {
 			if errors.Is(err, io.EOF) {
 				return nil
 			}
-			if errors.Is(err, io.ErrUnexpectedEOF) && last {
-				return os.Truncate(path, offset)
+			if errors.Is(err, io.ErrUnexpectedEOF) {
+				return torn("torn frame header")
 			}
-			return fmt.Errorf("store: %s: torn frame header at %d", segName(id), offset)
+			return fmt.Errorf("store: %s: read frame at %d: %w", name, offset, err)
 		}
 		length := binary.LittleEndian.Uint32(hdr[0:4])
 		sum := binary.LittleEndian.Uint32(hdr[4:8])
-		payload := make([]byte, length)
-		if _, err := io.ReadFull(f, payload); err != nil {
-			if last {
-				return os.Truncate(path, offset)
-			}
-			return fmt.Errorf("store: %s: torn frame body at %d", segName(id), offset)
+		// Check the declared length before allocating: a corrupt length
+		// must not drive a huge buffer.
+		if length > maxRecord || int64(length) > size-offset-frameHeaderLen {
+			return torn("torn frame body")
+		}
+		if cap(buf) < int(length) {
+			buf = make([]byte, length)
+		}
+		payload := buf[:length]
+		if _, err := io.ReadFull(r, payload); err != nil {
+			return torn("torn frame body")
 		}
 		if crc32.ChecksumIEEE(payload) != sum {
-			if last {
-				return os.Truncate(path, offset)
-			}
-			return fmt.Errorf("store: %s: CRC mismatch at %d", segName(id), offset)
+			return torn("CRC mismatch")
 		}
-		var rec walRecord
-		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&rec); err != nil {
-			if last {
-				return os.Truncate(path, offset)
-			}
-			return fmt.Errorf("store: %s: undecodable record at %d: %w", segName(id), offset, err)
+		o, err := decodeOp(payload)
+		if err != nil {
+			return torn(fmt.Sprintf("undecodable record (%v)", err))
 		}
-		w.fold(rec)
-		offset += int64(8 + len(payload))
+		w.apply(o)
+		offset += frameHeaderLen + int64(length)
 	}
 }
 
-// fold applies one recovered/written record to the in-memory index.
-func (w *WAL) fold(rec walRecord) {
-	switch opKind(rec.Kind) {
-	case opAppend:
-		q := w.queue(rec.Queue)
-		if rec.Seq+1 > q.next {
-			q.next = rec.Seq + 1
-		}
-		// Idempotence guard: a crash between Compact's segment rewrite and
-		// its old-segment deletion leaves the same append in two segments.
-		// Live appends are strictly increasing per queue, so a sequence at
-		// or below the current tail is a replayed duplicate, not data.
-		dup := len(q.records) > 0 && rec.Seq <= q.records[len(q.records)-1].Seq
-		if rec.Seq > q.acked && !dup {
-			q.records = append(q.records, Record{Queue: rec.Queue, Seq: rec.Seq, At: rec.At, Note: rec.Note})
-		}
-	case opAck:
-		q := w.queue(rec.Queue)
-		upTo := rec.UpTo
-		if upTo >= q.next {
-			upTo = q.next - 1
-		}
-		if upTo > q.acked {
-			q.acked = upTo
-		}
-		i := 0
-		for i < len(q.records) && q.records[i].Seq <= q.acked {
-			i++
-		}
-		if i > 0 {
-			q.records = append(q.records[:0], q.records[i:]...)
-		}
-	case opSnapshot:
-		if rec.Data == nil {
-			delete(w.snaps, rec.Key)
-		} else {
-			w.snaps[rec.Key] = append([]byte(nil), rec.Data...)
-		}
-	case opQueueMeta:
-		q := w.queue(rec.Queue)
-		if rec.Next > q.next {
-			q.next = rec.Next
-		}
-		if rec.UpTo > q.acked {
-			q.acked = rec.UpTo
-		}
-	}
-}
-
-func (w *WAL) queue(name string) *memQueue {
-	q, ok := w.queues[name]
-	if !ok {
-		q = &memQueue{next: 1}
-		w.queues[name] = q
-	}
-	return q
-}
-
+// openSegment opens segment id for append. A new (or empty) segment gets
+// its header, fsynced before any record can follow it.
 func (w *WAL) openSegment(id int) error {
 	f, err := os.OpenFile(filepath.Join(w.dir, segName(id)), os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("store: open segment: %w", err)
 	}
+	st, err := f.Stat()
+	if err != nil {
+		_ = f.Close()
+		return fmt.Errorf("store: open segment: %w", err)
+	}
+	size := st.Size()
+	if size == 0 {
+		if _, err := f.Write(segmentHeader()); err != nil {
+			_ = f.Close()
+			return fmt.Errorf("store: write segment header: %w", err)
+		}
+		if err := f.Sync(); err != nil {
+			_ = f.Close()
+			return fmt.Errorf("store: sync segment header: %w", err)
+		}
+		size = int64(segHeaderLen)
+	}
 	w.seg = f
 	w.segID = id
-	w.segSize = 0
+	w.segSize = size
 	return nil
 }
 
 // write frames, writes and (optionally) fsyncs one record, rotating the
-// segment when it outgrows the threshold. Callers hold w.mu.
-func (w *WAL) write(rec walRecord) error {
+// segment when it outgrows the threshold. The frame — header and payload —
+// is built in the WAL's reused scratch and handed to the file in one
+// Write. Callers hold w.mu.
+func (w *WAL) write(o *op) error {
 	if w.closed {
 		return errors.New("store: wal is closed")
 	}
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(rec); err != nil {
+	buf := appendOp(append(w.buf[:0], 0, 0, 0, 0, 0, 0, 0, 0), o)
+	n := len(buf) - frameHeaderLen
+	if n > maxRecord {
+		return fmt.Errorf("store: record of %d bytes exceeds limit", n)
+	}
+	binary.LittleEndian.PutUint32(buf[0:4], uint32(n))
+	binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(buf[frameHeaderLen:]))
+	_, err := w.seg.Write(buf)
+	if cap(buf) <= keepFrameBuf {
+		w.buf = buf
+	} else {
+		w.buf = nil
+	}
+	if err != nil {
 		return err
 	}
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(payload.Len()))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload.Bytes()))
-	if _, err := w.seg.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := w.seg.Write(payload.Bytes()); err != nil {
-		return err
-	}
-	w.segSize += int64(8 + payload.Len())
+	w.segSize += int64(len(buf))
 	if w.sync {
 		if err := w.seg.Sync(); err != nil {
 			return err
@@ -338,31 +361,19 @@ func (w *WAL) write(rec walRecord) error {
 func (w *WAL) Append(queue string, n message.Notification, at time.Time) (uint64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	q := w.queue(queue)
-	seq := q.next
-	rec := walRecord{Kind: int(opAppend), Queue: queue, Seq: seq, At: at, Note: n}
-	if err := w.write(rec); err != nil {
+	o := op{kind: opAppend, queue: queue, seq: w.queue(queue).next, at: at, note: n}
+	if err := w.write(&o); err != nil {
 		return 0, err
 	}
-	w.fold(rec)
-	return seq, nil
+	w.apply(o)
+	return o.seq, nil
 }
 
 // ReplayFrom implements Store.
 func (w *WAL) ReplayFrom(queue string, after uint64) ([]Record, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	q, ok := w.queues[queue]
-	if !ok {
-		return nil, nil
-	}
-	var out []Record
-	for _, r := range q.records {
-		if r.Seq > after {
-			out = append(out, r)
-		}
-	}
-	return out, nil
+	return w.replayFrom(queue, after), nil
 }
 
 // Ack implements Store.
@@ -372,11 +383,11 @@ func (w *WAL) Ack(queue string, upTo uint64) error {
 	if _, ok := w.queues[queue]; !ok {
 		return nil
 	}
-	rec := walRecord{Kind: int(opAck), Queue: queue, UpTo: upTo}
-	if err := w.write(rec); err != nil {
+	o := op{kind: opAck, queue: queue, upTo: upTo}
+	if err := w.write(&o); err != nil {
 		return err
 	}
-	w.fold(rec)
+	w.apply(o)
 	return nil
 }
 
@@ -384,11 +395,11 @@ func (w *WAL) Ack(queue string, upTo uint64) error {
 func (w *WAL) Snapshot(key string, data []byte) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	rec := walRecord{Kind: int(opSnapshot), Key: key, Data: data}
-	if err := w.write(rec); err != nil {
+	o := op{kind: opSnapshot, key: key, data: data}
+	if err := w.write(&o); err != nil {
 		return err
 	}
-	w.fold(rec)
+	w.apply(o)
 	return nil
 }
 
@@ -396,24 +407,14 @@ func (w *WAL) Snapshot(key string, data []byte) error {
 func (w *WAL) LoadSnapshot(key string) ([]byte, bool) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	b, ok := w.snaps[key]
-	if !ok {
-		return nil, false
-	}
-	return append([]byte(nil), b...), true
+	return w.loadSnapshot(key)
 }
 
 // Snapshots implements Store.
 func (w *WAL) Snapshots(prefix string) map[string][]byte {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	out := make(map[string][]byte)
-	for k, v := range w.snaps {
-		if len(k) >= len(prefix) && k[:len(prefix)] == prefix {
-			out[k] = append([]byte(nil), v...)
-		}
-	}
-	return out
+	return w.snapshots(prefix)
 }
 
 // Compact implements Store: the live state is rewritten into a fresh
@@ -432,33 +433,8 @@ func (w *WAL) Compact() error {
 	if err := w.openSegment(oldID + 1); err != nil {
 		return err
 	}
-	names := make([]string, 0, len(w.queues))
-	for name := range w.queues {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		q := w.queues[name]
-		if q.next > 1 {
-			if err := w.write(walRecord{Kind: int(opQueueMeta), Queue: name, Next: q.next, UpTo: q.acked}); err != nil {
-				return err
-			}
-		}
-		for _, r := range q.records {
-			if err := w.write(walRecord{Kind: int(opAppend), Queue: name, Seq: r.Seq, At: r.At, Note: r.Note}); err != nil {
-				return err
-			}
-		}
-	}
-	keys := make([]string, 0, len(w.snaps))
-	for k := range w.snaps {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		if err := w.write(walRecord{Kind: int(opSnapshot), Key: k, Data: w.snaps[k]}); err != nil {
-			return err
-		}
+	if err := w.eachLive(w.write); err != nil {
+		return err
 	}
 	if err := w.seg.Sync(); err != nil {
 		return err
@@ -516,11 +492,7 @@ func (w *WAL) Close() error {
 func (w *WAL) State(queue string) QueueState {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	q, ok := w.queues[queue]
-	if !ok {
-		return QueueState{Next: 1}
-	}
-	return QueueState{Next: q.next, Acked: q.acked, Pending: len(q.records)}
+	return w.queueState(queue)
 }
 
 // SegmentCount reports how many segment files exist (compaction tests).
